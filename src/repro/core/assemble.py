@@ -97,14 +97,39 @@ def _close_foreign_keys(db: Database, space: ProblemSpace) -> None:
                             f"dangling foreign key {fk.table}->{fk.ref_table} "
                             f"{key!r} inside the query's tuple space"
                         )
-                    db.insert(fk.ref_table, _synth_row(target_table, fk, key))
+                    db.insert(
+                        fk.ref_table,
+                        _synth_row(db, space, target_table, fk, key),
+                    )
                     existing.add(key)
                     changed = True
 
 
-def _synth_row(target_table: Table, fk, key: tuple) -> tuple:
-    forced = dict(zip(fk.ref_columns, key))
-    return tuple(
-        forced.get(col, _default_value(target_table, col))
+def _synth_row(
+    db: Database, space: ProblemSpace, target_table: Table, fk, key: tuple
+) -> tuple:
+    """A ``target_table`` row holding ``key`` under ``fk``'s referenced
+    columns, every other column at its default.
+
+    The closure may add rows only outside the query's tuple space.  So
+    when the new row's own foreign key would dangle into a table inside
+    it, those columns take the first key that table already holds; a
+    default that resolves, or that points outside the query, is kept.
+    """
+    values = {
+        col: _default_value(target_table, col)
         for col in target_table.column_names
-    )
+    }
+    values.update(zip(fk.ref_columns, key))
+    for own in target_table.foreign_keys:
+        if not space.in_query(own.ref_table) or set(own.columns) & set(
+            fk.ref_columns
+        ):
+            continue
+        parent = db.relation(own.ref_table)
+        indices = [parent.column_index(c) for c in own.ref_columns]
+        keys = [tuple(row[i] for i in indices) for row in parent.rows]
+        if tuple(values[c] for c in own.columns) in keys:
+            continue
+        values.update(zip(own.columns, keys[0]))
+    return tuple(values[col] for col in target_table.column_names)

@@ -25,6 +25,7 @@ import os
 import time
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import ClassVar
 
 from repro.core import (
     kill_aggregates,
@@ -43,7 +44,7 @@ from repro.errors import GenerationError, SolverLimitError
 from repro.obs import Metrics, Tracer
 from repro.obs.trace import NULL_TRACER
 from repro.schema.catalog import Schema
-from repro.solver.search import SearchConfig
+from repro.solver.search import SearchConfig, replace_config
 from repro.solver.skeleton import compile_skeleton
 from repro.solver.solver import Solver, SolveStats
 from repro.solver.terms import Formula
@@ -88,6 +89,8 @@ class GenConfig:
             in CVC3 ASSERT syntax, to the result (debugging aid matching
             the paper's presentation).
     """
+
+    _ALIAS_INITVARS: ClassVar[tuple[str, ...]] = ("pool_timeout_s",)
 
     unfold: bool = True
     include_comparisons: bool = True
@@ -186,12 +189,12 @@ class GenConfig:
             )
             self.pool_deadline_s = pool_timeout_s
         if self.delta_solve is not None:
-            self.solver = dataclasses.replace(
+            self.solver = replace_config(
                 self.solver, delta_solve=self.delta_solve
             )
         if budgets is not None:
             if budgets.solve_deadline_s is not None:
-                self.solver = dataclasses.replace(
+                self.solver = replace_config(
                     self.solver, solve_deadline_s=budgets.solve_deadline_s
                 )
             if budgets.spec_deadline_s is not None:
@@ -989,7 +992,7 @@ class XDataGenerator:
             )
         if node_scale == 1 and deadline == base.solve_deadline_s:
             return base
-        return dataclasses.replace(
+        return replace_config(
             base, node_limit=base.node_limit * node_scale,
             solve_deadline_s=deadline,
         )

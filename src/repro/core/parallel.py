@@ -58,7 +58,6 @@ never a correctness requirement.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import os
@@ -71,6 +70,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import PoolDegradedWarning
 from repro.schema.catalog import Schema
+from repro.solver.search import replace_config
 
 
 def effective_workers(
@@ -228,7 +228,7 @@ def _sequential_config(config, strip_journal: bool = False):
     if strip_journal and getattr(config, "journal_path", None) is not None:
         changes["journal_path"] = None
         changes["trace"] = True
-    return dataclasses.replace(config, **changes)
+    return replace_config(config, **changes)
 
 
 @dataclass

@@ -3,10 +3,18 @@
 For inner-join queries every unordered join tree of the join graph is
 enumerated (:mod:`repro.core.joinorders`); each internal node is flipped
 to LEFT, RIGHT and (optionally) FULL outer join, one node at a time.
-Mutants are deduplicated by a canonical form in which symmetric operators
-(inner and full joins) order their children lexicographically and RIGHT
-joins are rewritten as mirrored LEFT joins — mirror-image expressions are
-the same mutant.
+Every (tree, node, kind) triple is a distinct mutant: in the canonical
+form symmetric operators (inner and full joins) order their children
+lexicographically and RIGHT joins are rewritten as mirrored LEFT joins,
+and no two triples share a canonical string.
+
+Inner-path mutants also carry a *semantic class* (DESIGN.md §5k): the
+mutated node's (left binding set, right binding set, kind), with RIGHT
+normalised to a mirrored LEFT.  Only inner joins sit around the mutated
+node, so every tree in a class computes the same result on every
+database; the kill check runs one representative per class.  Only the
+first member of each class compiles its plan at enumeration time; the
+others build theirs on first access.
 
 Queries whose FROM clause already contains outer joins are not freely
 reorderable; their space is the written join tree with each node's type
@@ -44,13 +52,49 @@ DEFAULT_TARGETS = (JoinKind.LEFT, JoinKind.RIGHT)
 ALL_TARGETS = (JoinKind.LEFT, JoinKind.RIGHT, JoinKind.FULL)
 
 
+@dataclass(frozen=True, eq=False)
+class JoinSite:
+    """One node of one join tree, set to a new join type."""
+
+    aq: AnalyzedQuery
+    shape: Shape
+    node: NodeShape
+    kind: JoinKind
+
+    def plan(self) -> PlanNode:
+        """The mutant's executable plan."""
+        return shape_to_plan(self.aq, self.shape, kinds={self.node: self.kind})
+
+
 @dataclass(frozen=True)
 class JoinMutant:
-    """One join-type mutant."""
+    """One join-type mutant.
 
-    plan: PlanNode
+    Attributes:
+        description: Human-readable description of the mutation.
+        semantic_class: Key shared by mutants that compute the same
+            result on every database (inner path), or ``None`` for a
+            class of its own (written-tree mutants of outer-join
+            queries).
+        site: Where the inner-path mutation applies; builds the plan.
+        compiled: The plan compiled at enumeration time, or ``None``
+            when it is built from ``site`` on demand.
+    """
+
     description: str
-    canonical: str
+    semantic_class: tuple | None = None
+    site: JoinSite | None = None
+    compiled: PlanNode | None = None
+
+    @property
+    def plan(self) -> PlanNode:
+        if self.compiled is not None:
+            return self.compiled
+        return self.site.plan()
+
+    @property
+    def canonical(self) -> str:
+        return plan_canonical(self.plan)
 
 
 def plan_canonical(plan: PlanNode) -> str:
@@ -84,10 +128,22 @@ def plan_canonical(plan: PlanNode) -> str:
     return f"({left} {symbol} {right})"
 
 
-def _describe(shape: Shape, node: NodeShape, kind: JoinKind) -> str:
-    left = ",".join(sorted(node.left.bindings))
-    right = ",".join(sorted(node.right.bindings))
-    return f"[{left}] {kind.value} [{right}]"
+def semantic_class(
+    left: tuple[str, ...], right: tuple[str, ...], kind: JoinKind
+) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """Class key of a mutated node with sorted binding tuples ``left``
+    and ``right`` (DESIGN.md §5k).
+
+    The node's ON condition is a function of the two binding sets
+    (:func:`~repro.core.joinorders.node_conditions`), so it needs no
+    place in the key.  RIGHT is a mirrored LEFT, and FULL is symmetric.
+    """
+    if kind is JoinKind.RIGHT:
+        kind = JoinKind.LEFT
+        left, right = right, left
+    elif kind is JoinKind.FULL and right < left:
+        left, right = right, left
+    return (kind.value, left, right)
 
 
 def join_mutants_inner(
@@ -95,19 +151,31 @@ def join_mutants_inner(
     include_full: bool = False,
     tree_cap: int = 20000,
 ) -> list[JoinMutant]:
-    """All deduplicated single join-type mutants over all join orders."""
+    """Every single join-type mutant over all join orders.
+
+    Each (shape, node, kind) triple is its own mutant (their canonical
+    strings are pairwise distinct), so nothing is deduplicated.  Only
+    the first member of each semantic class compiles its plan here.
+    """
     targets = ALL_TARGETS if include_full else DEFAULT_TARGETS
-    mutants: dict[str, JoinMutant] = {}
+    mutants: list[JoinMutant] = []
+    seen: set[tuple] = set()
     for shape in enumerate_shapes(aq, cap=tree_cap):
         for node in shape_nodes(shape):
+            left = tuple(sorted(node.left.bindings))
+            right = tuple(sorted(node.right.bindings))
             for kind in targets:
-                plan = shape_to_plan(aq, shape, kinds={node: kind})
-                canonical = plan_canonical(plan)
-                if canonical not in mutants:
-                    mutants[canonical] = JoinMutant(
-                        plan, _describe(shape, node, kind), canonical
-                    )
-    return list(mutants.values())
+                key = semantic_class(left, right, kind)
+                site = JoinSite(aq, shape, node, kind)
+                compiled = None
+                if key not in seen:
+                    seen.add(key)
+                    compiled = site.plan()
+                description = (
+                    f"[{','.join(left)}] {kind.value} [{','.join(right)}]"
+                )
+                mutants.append(JoinMutant(description, key, site, compiled))
+    return mutants
 
 
 def _mutate_plan_nodes(plan: PlanNode, targets) -> list[tuple[PlanNode, str]]:
@@ -181,7 +249,7 @@ def join_mutants_outer(
         if canonical == plan_canonical(base):
             continue
         if canonical not in mutants:
-            mutants[canonical] = JoinMutant(plan, description, canonical)
+            mutants[canonical] = JoinMutant(description, compiled=plan)
     return list(mutants.values())
 
 

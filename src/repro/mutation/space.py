@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
 from repro.core.analyze import AnalyzedQuery, analyze_query
@@ -14,22 +15,84 @@ from repro.sql.ast import Query
 from repro.sql.parser import parse_query
 
 
-@dataclass(frozen=True)
 class Mutant:
     """One executable mutant.
 
     Attributes:
         kind: 'join', 'comparison' or 'aggregate'.
-        plan: Executable plan of the mutant.
+        plan: Executable plan of the mutant.  Join-order mutants that
+            are not the first of their semantic class build it on first
+            access (``build``).
         description: Human-readable description of the single mutation.
+        semantic_class: Key shared by mutants that compute the same
+            result on every database (DESIGN.md §5k), or ``None`` for a
+            class of its own.  The kill check executes one member per
+            class and copies its verdicts to the rest.
     """
 
-    kind: str
-    plan: PlanNode
-    description: str
+    __slots__ = ("kind", "description", "semantic_class", "_plan", "_build")
+
+    def __init__(
+        self,
+        kind: str,
+        plan: PlanNode | None,
+        description: str,
+        semantic_class: Hashable | None = None,
+        build: Callable[[], PlanNode] | None = None,
+    ) -> None:
+        if plan is None and build is None:
+            raise ValueError("a mutant needs a plan or a way to build one")
+        self.kind = kind
+        self.description = description
+        self.semantic_class = semantic_class
+        self._plan = plan
+        self._build = build
+
+    @property
+    def plan(self) -> PlanNode:
+        # Two threads may both build it; they build equal plans.
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._build()
+        return plan
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mutant):
+            return NotImplemented
+        return (self.kind, self.description, self.plan) == (
+            other.kind, other.description, other.plan
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.description, self.plan))
+
+    def __repr__(self) -> str:
+        return f"Mutant(kind={self.kind!r}, description={self.description!r})"
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.description}"
+
+
+def semantic_classes(mutants: list[Mutant]) -> list[list[int]]:
+    """Indices of ``mutants`` grouped by semantic class.
+
+    Classes appear in the order of their first member, and each lists
+    its members in mutant order, so a class's first index is its
+    representative.  A mutant without a class key is a class of its own.
+    """
+    classes: list[list[int]] = []
+    by_key: dict[Hashable, list[int]] = {}
+    for index, mutant in enumerate(mutants):
+        key = mutant.semantic_class
+        if key is None:
+            classes.append([index])
+            continue
+        members = by_key.get(key)
+        if members is None:
+            members = by_key[key] = []
+            classes.append(members)
+        members.append(index)
+    return classes
 
 
 @dataclass
@@ -95,7 +158,12 @@ def enumerate_mutants(
     space = MutationSpace(aq)
     if include_join:
         for m in join_mutants(aq, include_full_outer, tree_cap):
-            space.mutants.append(Mutant("join", m.plan, m.description))
+            space.mutants.append(
+                Mutant(
+                    "join", m.compiled, m.description, m.semantic_class,
+                    m.site.plan if m.site is not None else None,
+                )
+            )
     if include_comparison:
         for m in comparison_mutants(aq):
             space.mutants.append(Mutant("comparison", m.plan, m.description))

@@ -39,6 +39,7 @@ from repro.engine.export import to_csv_map, to_insert_script
 from repro.obs.metrics import Metrics
 from repro.service.cache import SuiteCache, canonical_bytes
 from repro.service.fingerprint import canonical_query, canonical_schema
+from repro.solver.search import replace_config
 
 __all__ = [
     "Job",
@@ -470,7 +471,7 @@ class JobQueue:
             # (observability never changes generated bytes).
             run = _solo_run(
                 session, job.canonical_sql,
-                dataclasses.replace(config, trace=True),
+                replace_config(config, trace=True),
             )
         else:
             run = session.generate(job.canonical_sql)
@@ -495,7 +496,7 @@ class JobQueue:
         existing = config.suite_deadline_s
         budget = remaining_s if existing is None else min(existing, remaining_s)
         changes: dict = {"budgets": Budgets(suite_deadline_s=budget)}
-        return dataclasses.replace(config, **changes)
+        return replace_config(config, **changes)
 
     # ------------------------------------------------------------------
     # bookkeeping

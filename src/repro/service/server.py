@@ -53,6 +53,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "xdata-service/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm
+    # on, a keep-alive client waits for a delayed ACK (~40 ms) on every
+    # response.  TCP_NODELAY on the accepted socket sends them at once.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 

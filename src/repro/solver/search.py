@@ -15,10 +15,12 @@ reproducing, qualitatively, the slow quantified path the paper measured.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 from collections import deque
 from dataclasses import InitVar, dataclass
+from typing import ClassVar
 
 from repro.errors import SolverError, SolverLimitError
 from repro.solver.model import Model, SymbolTable
@@ -36,9 +38,26 @@ from repro.solver.terms import (
 )
 
 
+def replace_config(config, **changes):
+    """:func:`dataclasses.replace` for the config dataclasses, without
+    reading their deprecated alias properties.
+
+    ``dataclasses.replace`` re-passes every ``InitVar`` by reading the
+    attribute of the same name; for an alias keyword that attribute is
+    the property that warns.  Each config names its aliases in
+    ``_ALIAS_INITVARS``; they are passed as ``None`` ("not given")
+    unless ``changes`` sets them.
+    """
+    for name in getattr(config, "_ALIAS_INITVARS", ()):
+        changes.setdefault(name, None)
+    return dataclasses.replace(config, **changes)
+
+
 @dataclass
 class SearchConfig:
     """Search tuning knobs."""
+
+    _ALIAS_INITVARS: ClassVar[tuple[str, ...]] = ("deadline_s",)
 
     node_limit: int = 500_000
     #: Wall-clock budget for one search run (preprocessing included),

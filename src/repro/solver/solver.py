@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from repro.errors import UnsatisfiableError
 from repro.solver.model import Model, SymbolTable
-from repro.solver.search import GroundSearch, SearchConfig
+from repro.solver.search import GroundSearch, SearchConfig, replace_config
 from repro.solver.terms import (
     Conj,
     Disj,
@@ -324,8 +324,6 @@ class Solver:
         budget, it is retried once with suggestions enabled so the slow
         mode always terminates (its time is reported either way).
         """
-        import dataclasses
-
         from repro.errors import SolverLimitError
         from repro.solver.search import eval_formula
 
@@ -339,7 +337,7 @@ class Solver:
         instance_budget = 10 + sum(
             _instance_count(f) for f in quantified
         )
-        naive_config = dataclasses.replace(
+        naive_config = replace_config(
             self.config, enable_suggestions=False
         )
         learned: list[Formula] = []

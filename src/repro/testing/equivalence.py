@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.engine.executor import execute_plan
 from repro.engine.plan import PlanNode, compile_query
-from repro.mutation.space import Mutant, MutationSpace
+from repro.mutation.space import Mutant, MutationSpace, semantic_classes
 from repro.schema.catalog import Schema
 from repro.testing.killcheck import result_signature
 
@@ -133,23 +133,28 @@ def classify_survivors(
     seed: int = 20100301,
     original_plan: PlanNode | None = None,
 ) -> ClassificationReport:
-    """Differentially test survivors on random legal instances."""
+    """Differentially test survivors on random legal instances.
+
+    One survivor per semantic class is executed (DESIGN.md §5k); the
+    other members of its class share its classification and witness.
+    """
     rng = random.Random(seed)
     plan = original_plan or compile_query(space.analyzed.query)
-    report = ClassificationReport()
     instances = [
         random_database(space.analyzed.schema, rng, rows_per_table)
         for _ in range(trials)
     ]
     original = [result_signature(execute_plan(plan, db)) for db in instances]
-    for mutant in survivors:
+    results: list[SurvivorClassification | None] = [None] * len(survivors)
+    for members in semantic_classes(survivors):
         witness = None
         for db, expected in zip(instances, original):
-            got = result_signature(execute_plan(mutant.plan, db))
+            got = result_signature(execute_plan(survivors[members[0]].plan, db))
             if got != expected:
                 witness = db
                 break
-        report.results.append(
-            SurvivorClassification(mutant, witness is None, witness)
-        )
-    return report
+        for index in members:
+            results[index] = SurvivorClassification(
+                survivors[index], witness is None, witness
+            )
+    return ClassificationReport(results)

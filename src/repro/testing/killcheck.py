@@ -15,6 +15,12 @@ is computed once per dataset instead of once per mutant.
 :class:`KillCheckConfig` carries the ablation switches; verdicts are
 byte-identical with every switch off (the seed's re-execute-everything
 path, kept for benchmarks and equivalence tests).
+
+Join-order mutants that differ only in the join trees around the
+mutated node compute the same result on every database (DESIGN.md §5k).
+Each :attr:`~repro.mutation.space.Mutant.semantic_class` executes once
+per dataset, through its first member, and every member receives that
+member's verdicts; the kill matrix still has one row per mutant.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from repro.engine.executor import execute_plan
 from repro.engine.plan import PlanNode, plan_fingerprint
 from repro.engine.relation import Relation
 from repro.engine.subplan import SubplanCache
-from repro.mutation.space import Mutant, MutationSpace
+from repro.mutation.space import Mutant, MutationSpace, semantic_classes
 
 
 def canonical_value(value):
@@ -204,6 +210,31 @@ def mutant_order(mutants: list[Mutant], fingerprint_sort: bool = True) -> list[i
     return order
 
 
+def class_order(
+    mutants: list[Mutant], fingerprint_sort: bool = True
+) -> list[list[int]]:
+    """Semantic classes of ``mutants`` in evaluation order.
+
+    Each class is a list of mutant indices whose first entry is the
+    representative that executes; the classes are ordered by
+    :func:`mutant_order` over the representatives alone, so no other
+    member's plan is built.
+    """
+    classes = semantic_classes(mutants)
+    representatives = [mutants[members[0]] for members in classes]
+    return [
+        classes[k] for k in mutant_order(representatives, fingerprint_sort)
+    ]
+
+
+def _share_verdicts(outcomes: list[MutantOutcome], classes) -> None:
+    """Copy each representative's ``killed_by`` to its class members."""
+    for members in classes:
+        killed_by = outcomes[members[0]].killed_by
+        for index in members[1:]:
+            outcomes[index].killed_by = list(killed_by)
+
+
 def evaluate_suite(
     space: MutationSpace,
     databases: list[Database],
@@ -216,10 +247,11 @@ def evaluate_suite(
     """Run every mutant against every dataset; record which kills occur.
 
     Mutants are batched per dataset: the dataset is loaded/validated
-    once, the original executes once, and the mutant set walks in
-    fingerprint-sorted order over a shared subplan cache (dropped when
-    the batch moves to the next dataset, so memory stays bounded by one
-    dataset's working set).
+    once, the original executes once, and one representative per
+    semantic class walks in fingerprint-sorted order over a shared
+    subplan cache (dropped when the batch moves to the next dataset, so
+    memory stays bounded by one dataset's working set).  Every class
+    member ends with its representative's ``killed_by``.
 
     Args:
         space: The mutation space (provides the analyzed query).
@@ -243,12 +275,13 @@ def evaluate_suite(
     plan = original_plan if original_plan is not None else space.original_plan
     mutants = space.mutants
     outcomes = [MutantOutcome(mutant) for mutant in mutants]
-    order = mutant_order(mutants, config.fingerprint_sort)
+    classes = class_order(mutants, config.fingerprint_sort)
+    order = [members[0] for members in classes]
     cache = SubplanCache() if config.subplan_cache else None
 
     if backend is None and not cross_check:
         # Hot path: no handle indirection, no integrity re-validation.
-        plans = [mutant.plan for mutant in mutants]
+        plans = {i: mutants[i].plan for i in order}
         short_circuit = config.short_circuit
         for index, db in enumerate(databases):
             original = execute_plan(plan, db, cache)
@@ -281,6 +314,7 @@ def evaluate_suite(
                     outcome.killed_by.append(index)
             if cache is not None:
                 cache.drop_dataset(db)
+        _share_verdicts(outcomes, classes)
         return KillReport(
             outcomes, len(databases),
             cache_stats=cache.stats() if cache is not None else None,
@@ -329,6 +363,7 @@ def evaluate_suite(
             checker.release(db)
             if cache is not None:
                 cache.drop_dataset(db)
+    _share_verdicts(outcomes, classes)
     return KillReport(
         outcomes, len(databases),
         cache_stats=cache.stats() if cache is not None else None,

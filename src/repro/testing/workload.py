@@ -23,9 +23,10 @@ from repro.engine.executor import execute_plan
 from repro.engine.subplan import SubplanCache
 from repro.mutation.space import MutationSpace, enumerate_mutants
 from repro.schema.catalog import Schema
+from repro.solver.search import replace_config
 from repro.testing.killcheck import (
     _attach_subplan_cache,
-    mutant_order,
+    class_order,
     result_signature,
 )
 
@@ -166,7 +167,7 @@ def generate_workload(
     """
     config = config or GenConfig()
     if fail_fast and not config.fail_fast:
-        config = dataclasses.replace(config, fail_fast=True)
+        config = replace_config(config, fail_fast=True)
     fail_fast = fail_fast or config.fail_fast
     if workers is None:
         workers = config.workers
@@ -248,8 +249,10 @@ def generate_workload(
             return result_signature(execute_plan(plan, db, cache))
         return checker.signature(plan, db, context)
 
+    # One representative per semantic class executes (DESIGN.md §5k);
+    # its kills are recorded for every member of the class.
     orders = [
-        mutant_order(entry.space.mutants, fingerprint_sort=subplan_cache)
+        class_order(entry.space.mutants, fingerprint_sort=subplan_cache)
         if not entry.failed
         else []
         for entry in entries
@@ -266,12 +269,13 @@ def generate_workload(
                     entry.space.original_plan, db,
                     f"{entry.name}: original query",
                 )
-                for mutant_index in orders[entry_index]:
-                    mutant = entry.space.mutants[mutant_index]
+                for members in orders[entry_index]:
+                    mutant = entry.space.mutants[members[0]]
                     context = f"{entry.name}: mutant {mutant.description}"
                     if signature_of(mutant.plan, db, context) != original:
-                        kills[dataset_pos].add((entry_index, mutant_index))
-                        killable.add((entry_index, mutant_index))
+                        for mutant_index in members:
+                            kills[dataset_pos].add((entry_index, mutant_index))
+                            killable.add((entry_index, mutant_index))
             if checker is not None:
                 checker.release(db)
             if cache is not None:

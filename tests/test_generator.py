@@ -179,3 +179,27 @@ class TestInputDatabase:
         suite = XDataGenerator(uni_schema_nofk, config).generate(sql)
         agg = [d for d in suite.datasets if d.group == "aggregate"]
         assert agg and not agg[0].used_input_db
+
+
+class TestForeignKeyClosure:
+    """Rows synthesised outside the query must not dangle into it."""
+
+    @pytest.mark.parametrize("seed", [5, 10])
+    def test_synthesised_rows_reference_in_query_keys(self, uni_schema, seed):
+        # Both grammar queries join department but not instructor; the
+        # closure synthesises instructor rows (for teaches/advisor) whose
+        # default dept_name 'CS' is not among the query's departments.
+        import random
+
+        from repro.testing import sample_conformance_query
+
+        sql = sample_conformance_query(random.Random(seed), uni_schema)
+        suite = XDataGenerator(uni_schema).generate(sql)
+        assert suite.datasets
+        for dataset in suite.datasets:
+            assert find_violations(dataset.db) == []
+            departments = {
+                row[0] for row in dataset.db.relation("department").rows
+            }
+            for row in dataset.db.relation("instructor").rows:
+                assert row[2] is None or row[2] in departments

@@ -190,6 +190,21 @@ class TestDeprecatedAliases:
             gen_clone = dataclasses.replace(gen_base, pool_deadline_s=60.0)
         assert gen_clone.pool_deadline_s == 60.0
 
+    def test_internal_copies_do_not_read_aliases(self):
+        from repro.solver.search import replace_config
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clone = replace_config(
+                GenConfig(pool_deadline_s=5.0, delta_solve=False), workers=1
+            )
+            search = replace_config(
+                SearchConfig(solve_deadline_s=2.0), node_limit=10
+            )
+        assert clone.pool_deadline_s == 5.0 and clone.workers == 1
+        assert clone.solver.delta_solve is False
+        assert search.solve_deadline_s == 2.0 and search.node_limit == 10
+
     def test_configs_survive_replace_and_pickle(self):
         config = GenConfig(pool_deadline_s=9.0, spec_deadline_s=3.0)
         clone = dataclasses.replace(config, retries=2)

@@ -9,6 +9,7 @@ lifecycle/metrics bookkeeping around it stays consistent (hits + misses
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -337,6 +338,26 @@ class TestHttpService:
     def test_healthz(self, service):
         with urllib.request.urlopen(service.url + "/healthz") as response:
             assert json.loads(response.read()) == {"status": "ok"}
+
+    def test_accepted_sockets_disable_nagle(self, monkeypatch):
+        # Headers and body leave in separate writes; without TCP_NODELAY
+        # a keep-alive client waits for a delayed ACK on every response.
+        from repro.service.server import _Handler
+
+        flags = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with Service(port=0, workers=1) as svc:
+            with urllib.request.urlopen(svc.url + "/healthz") as response:
+                response.read()
+        assert flags and all(flags)
 
     def test_submit_poll_result_roundtrip(self, service):
         submitted = _post_job(service, {"schema": DDL, "query": SQL})
